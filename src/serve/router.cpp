@@ -162,8 +162,7 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
       c_shards_drained_(metrics_.counter("router.shards_drained")),
       c_shards_restored_(metrics_.counter("router.shards_restored")),
       h_latency_ms_(
-          metrics_.histogram("router.latency_ms", obs::latency_ms_bounds())),
-      g_inflight_(metrics_.gauge("router.inflight")) {
+          metrics_.histogram("router.latency_ms", obs::latency_ms_bounds())) {
   config_.num_shards = std::max<int64_t>(1, config_.num_shards);
   config_.hedge_budget = std::max(0.0, config_.hedge_budget);
   config_.health_interval_ms = std::max<int64_t>(1, config_.health_interval_ms);
@@ -186,7 +185,6 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
     shards_.push_back(std::move(entry));
     ring_.add_node(i);
   }
-  completion_thread_ = std::thread([this] { completion_loop(); });
   health_thread_ = std::thread([this] { health_loop(); });
 }
 
@@ -220,7 +218,7 @@ int64_t Router::ring_owner(uint64_t key_hash) const {
 }
 
 Router::Pick Router::pick_shard(uint64_t key_hash,
-                                const std::vector<int64_t>& tried,
+                                const std::vector<Attempt>& tried,
                                 Clock::time_point now) {
   // Ring order from the key's owner, so locality is preserved whenever the
   // owner is healthy. Weighted routing: an ACTIVE shard below soft_score
@@ -230,7 +228,10 @@ Router::Pick Router::pick_shard(uint64_t key_hash,
   Pick soft;
   double soft_best = -1.0;
   for (const int64_t id : ring_.walk(key_hash)) {
-    if (std::find(tried.begin(), tried.end(), id) != tried.end()) continue;
+    if (std::any_of(tried.begin(), tried.end(),
+                    [id](const Attempt& a) { return a.shard == id; })) {
+      continue;
+    }
     ShardEntry& entry = shards_[static_cast<size_t>(id)];
     if (entry.state == ShardState::kActive) {
       if (entry.score >= config_.soft_score) return Pick{id, false};
@@ -257,112 +258,101 @@ int64_t Router::pick_hedge(uint64_t key_hash, int64_t primary) {
   return -1;
 }
 
-void Router::dispatch(const Job& job, Attempt& attempt) {
+size_t Router::add_attempt(Job& job, Pick pick, bool hedge) {
+  Attempt attempt;
+  attempt.shard = pick.shard;
+  attempt.probe = pick.probe;
+  attempt.hedge = hedge;
+  attempt.cancel = std::make_shared<CancelToken>();
+  job.attempts.push_back(std::move(attempt));
+  return job.attempts.size() - 1;
+}
+
+void Router::dispatch(const std::shared_ptr<Job>& job, size_t index) {
+  // Read without mutex_: an attempt's shard and token never change once
+  // added, and attempts only grows (a failover) after every attempt —
+  // this one included — has settled.
+  const Attempt& attempt = job->attempts[index];
   GroundRequest request;
-  request.image = job.image;  // storage is shared, not copied
-  request.query = job.query;
-  if (job.deadline == Clock::time_point::max()) {
+  request.cancel = attempt.cancel;
+  request.image = job->image;  // storage is shared, not copied
+  request.query = job->query;
+  if (job->deadline == Clock::time_point::max()) {
     request.deadline_ms = 0;  // explicitly none (ignore the shard default)
   } else {
-    request.deadline_at = job.deadline;
+    request.deadline_at = job->deadline;
   }
-  attempt.cancel = std::make_shared<CancelToken>();
-  request.cancel = attempt.cancel;
-  attempt.future = shards_[static_cast<size_t>(attempt.shard)].service->submit(
-      std::move(request));
+  shards_[static_cast<size_t>(attempt.shard)].service->submit(
+      std::move(request), [this, job, index](GroundResponse response) {
+        settle(job, index, std::move(response));
+      });
 }
 
 std::future<RouteResponse> Router::submit(RouteRequest request) {
   OBS_SPAN("router.submit");
   const Clock::time_point now = Clock::now();
-  const uint64_t key = key_for(request);
-
-  auto job = std::make_unique<Job>();
-  job->key_hash = key;
+  auto job = std::make_shared<Job>();
+  job->key_hash = key_for(request);
   job->image = std::move(request.image);
   job->query = std::move(request.query);
   job->submitted_at = now;
   job->deadline = resolve_deadline(request, config_.default_deadline_ms, now);
+  std::future<RouteResponse> future = job->promise.get_future();
 
-  Pick pick;
-  int64_t hedge = -1;
+  Status refusal;
+  size_t hedge = 0;  // attempt index of the hedge; 0 == none
   {
     std::lock_guard<std::mutex> lock(mutex_);
     c_submitted_.inc();
-
-    const auto reject_now = [&](Status status) {
-      RouteResponse response;
-      response.status = std::move(status);
-      response.latency_ms = ms_since(now);
-      switch (response.status.code) {
-        case StatusCode::kDeadlineExceeded:
-          c_deadline_exceeded_.inc();
-          break;
-        default:
-          c_rejected_.inc();
-          break;
-      }
-      std::future<RouteResponse> future = job->promise.get_future();
-      job->promise.set_value(std::move(response));
-      return future;
-    };
-
+    Pick pick;
     if (!accepting_) {
-      return reject_now(Status::overloaded("router is stopped"));
-    }
-    if (job->deadline <= now) {
-      return reject_now(
-          Status::deadline_exceeded("deadline had already expired at routing"));
-    }
-    pick = pick_shard(key, job->tried, now);
-    if (pick.shard < 0) {
-      return reject_now(Status::overloaded("no shard in rotation"));
-    }
-    if (pick.probe) c_probes_sent_.inc();
-
-    // Hedging: primary's live p95 says the deadline is at risk, the hedge
-    // budget has headroom, and an active sibling exists.
-    if (config_.hedging && !pick.probe &&
-        job->deadline != Clock::time_point::max()) {
-      const double remaining_ms = ms_until(job->deadline, now);
-      const ShardEntry& primary = shards_[static_cast<size_t>(pick.shard)];
-      const double budget =
-          config_.hedge_budget * static_cast<double>(c_submitted_.value());
-      if (primary.p95_ms > remaining_ms &&
-          static_cast<double>(c_hedges_launched_.value() + 1) <= budget) {
-        hedge = pick_hedge(key, pick.shard);
-        if (hedge >= 0) c_hedges_launched_.inc();
+      refusal = Status::overloaded("router is stopped");
+    } else if (job->deadline <= now) {
+      refusal =
+          Status::deadline_exceeded("deadline had already expired at routing");
+    } else {
+      pick = pick_shard(job->key_hash, job->attempts, now);
+      if (pick.shard < 0) {
+        refusal = Status::overloaded("no shard in rotation");
       }
     }
-    ++submitting_;  // holds the completion thread open until the push below
+    if (!refusal.ok()) {
+      account_locked(refusal.code);
+    } else {
+      if (pick.probe) c_probes_sent_.inc();
+      // Hedging: primary's live p95 says the deadline is at risk, the hedge
+      // budget has headroom, and an active sibling exists.
+      int64_t sibling = -1;
+      if (config_.hedging && !pick.probe &&
+          job->deadline != Clock::time_point::max()) {
+        const double remaining_ms = ms_until(job->deadline, now);
+        const ShardEntry& primary = shards_[static_cast<size_t>(pick.shard)];
+        const double budget =
+            config_.hedge_budget * static_cast<double>(c_submitted_.value());
+        if (primary.p95_ms > remaining_ms &&
+            static_cast<double>(c_hedges_launched_.value() + 1) <= budget) {
+          sibling = pick_hedge(job->key_hash, pick.shard);
+          if (sibling >= 0) c_hedges_launched_.inc();
+        }
+      }
+      add_attempt(*job, pick, /*hedge=*/false);
+      if (sibling >= 0) {
+        hedge = add_attempt(*job, Pick{sibling, false}, /*hedge=*/true);
+        job->hedged = true;
+      }
+    }
   }
-
+  if (!refusal.ok()) {
+    RouteResponse response;
+    response.status = std::move(refusal);
+    response.latency_ms = ms_since(now);
+    job->promise.set_value(std::move(response));
+    return future;
+  }
   // Shard admission (O(pixels) validation, shard lock) happens outside the
   // router mutex so concurrent submitters do not serialise on it.
-  Attempt primary;
-  primary.shard = pick.shard;
-  primary.probe = pick.probe;
-  dispatch(*job, primary);
-  job->tried.push_back(pick.shard);
-  job->attempts.push_back(std::move(primary));
-  if (hedge >= 0) {
-    Attempt duplicate;
-    duplicate.shard = hedge;
-    duplicate.hedge = true;
-    dispatch(*job, duplicate);
-    job->hedged = true;
-    job->tried.push_back(hedge);
-    job->attempts.push_back(std::move(duplicate));
-  }
-
-  std::future<RouteResponse> future = job->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inflight_.push_back(std::move(job));
-    --submitting_;
-    g_inflight_.set(static_cast<double>(inflight_.size()));
-  }
-  cv_.notify_all();
+  dispatch(job, 0);
+  if (hedge != 0) dispatch(job, hedge);
   return future;
 }
 
@@ -408,201 +398,130 @@ void Router::note_shard_result(int64_t shard, bool retryable_failure,
   }
 }
 
-void Router::finish_job(Job& job, GroundResponse response, int64_t shard,
-                        bool hedge_won) {
-  // The race is decided: cancel every attempt still in flight so its shard
-  // aborts the forward at the next checkpoint instead of finishing an
-  // answer nobody will read. The loser resolves kCancelled at shard level
-  // (that shard's `cancelled` bucket); it never reaches the router
-  // taxonomy — this job terminates exactly once, below.
-  int64_t losers = 0;
-  for (Attempt& attempt : job.attempts) {
-    if (attempt.done || attempt.cancel == nullptr) continue;
-    attempt.cancel->cancel();
-    ++losers;
+void Router::account_locked(StatusCode code) {
+  switch (code) {
+    case StatusCode::kOk:
+      c_served_.inc();
+      break;
+    case StatusCode::kDegraded:
+      c_served_.inc();
+      c_degraded_.inc();
+      break;
+    case StatusCode::kInvalidInput:
+    case StatusCode::kOverloaded:
+    case StatusCode::kResourceExhausted:
+      // kResourceExhausted: shed under memory pressure on every tried
+      // shard — a rejection, keeping the four-term router invariant intact.
+      c_rejected_.inc();
+      break;
+    case StatusCode::kDeadlineExceeded:
+      c_deadline_exceeded_.inc();
+      break;
+    case StatusCode::kInternalError:
+    case StatusCode::kCancelled:
+      // A terminal shard-level cancel the router did not ask for (e.g. a
+      // watchdog kick): the request died inside the serving stack.
+      c_failed_.inc();
+      break;
   }
+}
+
+void Router::settle(const std::shared_ptr<Job>& job, size_t index,
+                    GroundResponse response) {
+  const Clock::time_point now = Clock::now();
+  const StatusCode code = response.status.code;
   RouteResponse out;
-  out.status = std::move(response.status);
-  out.box = response.box;
-  out.normalised_query = std::move(response.normalised_query);
-  out.retries = response.retries;
-  out.shard = shard;
-  out.hedged = job.hedged;
-  out.hedge_won = job.hedged && hedge_won;
-  out.failovers = job.failovers;
-  out.latency_ms = ms_since(job.submitted_at);
+  std::vector<std::shared_ptr<CancelToken>> losers;
+  size_t failover = 0;  // attempt index of the failover; 0 == none
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    h_latency_ms_.observe(out.latency_ms);
-    if (out.hedge_won) c_hedges_won_.inc();
-    if (losers > 0) c_hedge_cancelled_.inc(losers);
-    switch (out.status.code) {
-      case StatusCode::kOk:
-        c_served_.inc();
-        break;
-      case StatusCode::kDegraded:
-        c_served_.inc();
-        c_degraded_.inc();
-        break;
-      case StatusCode::kInvalidInput:
-      case StatusCode::kOverloaded:
-        c_rejected_.inc();
-        break;
-      case StatusCode::kResourceExhausted:
-        // Shed under memory pressure on every tried shard: a rejection,
-        // keeping the four-term router invariant intact.
-        c_rejected_.inc();
-        break;
-      case StatusCode::kDeadlineExceeded:
-        c_deadline_exceeded_.inc();
-        break;
-      case StatusCode::kInternalError:
-      case StatusCode::kCancelled:
-        // A terminal shard-level cancel the router did not ask for (e.g. a
-        // watchdog kick): the request died inside the serving stack.
-        c_failed_.inc();
-        break;
-    }
-  }
-  job.done = true;
-  job.promise.set_value(std::move(out));
-}
-
-bool Router::advance_job(Job& job, Clock::time_point now) {
-  // Scan ready attempts. First answered attempt wins; the loser (if any) is
-  // simply ignored — its shard still resolves it, nothing blocks on it.
-  bool pending = false;
-  for (Attempt& attempt : job.attempts) {
-    if (attempt.done) continue;
-    if (attempt.future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
-      pending = true;
-      continue;
-    }
+    Job& j = *job;
+    Attempt& attempt = j.attempts[index];
     attempt.done = true;
-    GroundResponse response = attempt.future.get();
-    const StatusCode code = response.status.code;
-
-    if (response.status.answered()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // A probe only closes the half-open state on a full model answer
-        // (kOk); a degraded answer means the shard's own breaker is still
-        // open, so the probe failed even though the client is served.
-        note_shard_result(attempt.shard, false, attempt.probe,
-                          response.status.ok());
-      }
-      finish_job(job, std::move(response), attempt.shard, attempt.hedge);
-      return true;
-    }
-
-    if (code == StatusCode::kInvalidInput) {
-      // The request itself is malformed; no shard can do better. Terminal
-      // even if a hedge is still in flight (it will reject identically).
-      finish_job(job, std::move(response), attempt.shard, false);
-      return true;
-    }
-
-    {
-      // Only kInternalError feeds the shard's failure streak. kOverloaded is
+    // The race is already decided: this is a losing attempt's answer (its
+    // shard accounted it; the request terminated with the winner).
+    if (j.done) return;
+    const int64_t shard = attempt.shard;
+    const bool hedge = attempt.hedge;
+    if (code != StatusCode::kInvalidInput) {
+      // A probe only closes the half-open state on a full model answer
+      // (kOk); a degraded answer means the shard's own breaker is still
+      // open, so the probe failed even though the client is served. Only
+      // kInternalError feeds the shard's failure streak: kOverloaded is
       // backpressure, not sickness — evicting a busy shard during a load
-      // spike shrinks capacity exactly when it is scarcest (the weighted
-      // queue-depth score already steers load away from deep queues).
-      std::lock_guard<std::mutex> lock(mutex_);
-      note_shard_result(attempt.shard, code == StatusCode::kInternalError,
-                        attempt.probe, false);
+      // spike shrinks capacity exactly when it is scarcest.
+      note_shard_result(shard, code == StatusCode::kInternalError,
+                        attempt.probe, response.status.ok());
     }
-    if (failure_precedence(code) >
-        failure_precedence(job.last_failure.status.code)) {
-      job.last_failure = std::move(response);
-    }
-    // A deadline miss from one attempt is not terminal while a hedge is
-    // still racing: the duplicate may have answered inside the budget.
-  }
-  if (pending || job.done) return job.done;
-
-  // Every attempt failed. Fail over while the deadline and the ring allow;
-  // otherwise answer with the most truthful failure seen.
-  Pick next;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const int64_t budget = config_.max_failovers >= 0
-                               ? config_.max_failovers
-                               : config_.num_shards - 1;
-    const bool deadline_ok = now < job.deadline;
-    const bool failure_retryable =
-        retryable(job.last_failure.status.code) ||
-        job.last_failure.status.code == StatusCode::kOk;  // (unset: paranoia)
-    if (deadline_ok && failure_retryable && job.failovers < budget) {
-      next = pick_shard(job.key_hash, job.tried, now);
-    }
-    if (next.shard >= 0) {
-      c_failovers_.inc();
-      if (next.probe) c_probes_sent_.inc();
-    }
-  }
-  if (next.shard < 0) {
-    GroundResponse final = std::move(job.last_failure);
-    if (now >= job.deadline &&
-        final.status.code != StatusCode::kDeadlineExceeded) {
-      final.status =
-          Status::deadline_exceeded("deadline expired during failover");
-    }
-    if (final.status.code == StatusCode::kOk && final.box.w == 0) {
-      // No attempt ever resolved with a failure payload (cannot happen in
-      // practice); answer typed rather than fabricate success.
-      final.status = Status::overloaded("no shard could take the request");
-    }
-    finish_job(job, std::move(final), -1, false);
-    return true;
-  }
-  Attempt attempt;
-  attempt.shard = next.shard;
-  attempt.probe = next.probe;
-  dispatch(job, attempt);
-  job.tried.push_back(next.shard);
-  ++job.failovers;
-  job.attempts.push_back(std::move(attempt));
-  return false;
-}
-
-void Router::completion_loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (stopping_ && inflight_.empty() && submitting_ == 0) return;
-      if (inflight_.empty()) {
-        cv_.wait_for(lock, std::chrono::milliseconds(5), [this] {
-          return stopping_ || !inflight_.empty();
-        });
-        continue;
+    GroundResponse final;
+    if (response.status.answered() || code == StatusCode::kInvalidInput) {
+      // First answer wins. An invalid input can be served nowhere: terminal
+      // even if a hedge is still in flight (it will reject identically).
+      final = std::move(response);
+      out.shard = shard;
+      out.hedge_won = j.hedged && hedge && final.status.answered();
+    } else {
+      if (failure_precedence(code) >
+          failure_precedence(j.last_failure.status.code)) {
+        j.last_failure = std::move(response);
+      }
+      // A failure is not terminal while the other attempt still races: the
+      // duplicate may yet answer inside the budget.
+      for (const Attempt& other : j.attempts) {
+        if (!other.done) return;
+      }
+      // Every attempt failed. Fail over while the deadline and the ring
+      // allow; otherwise answer with the most truthful failure seen.
+      const int64_t budget = config_.max_failovers >= 0
+                                 ? config_.max_failovers
+                                 : config_.num_shards - 1;
+      Pick next;
+      if (now < j.deadline && retryable(j.last_failure.status.code) &&
+          j.failovers < budget) {
+        next = pick_shard(j.key_hash, j.attempts, now);
+      }
+      if (next.shard >= 0) {
+        c_failovers_.inc();
+        if (next.probe) c_probes_sent_.inc();
+        ++j.failovers;
+        failover = add_attempt(j, next, /*hedge=*/false);
+      } else {
+        final = std::move(j.last_failure);
+        if (now >= j.deadline &&
+            final.status.code != StatusCode::kDeadlineExceeded) {
+          final.status =
+              Status::deadline_exceeded("deadline expired during failover");
+        }
       }
     }
-    // Jobs are only appended by submit() and only mutated here; raw
-    // pointers stay valid because erasure happens below, on this thread.
-    std::vector<Job*> scan;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      scan.reserve(inflight_.size());
-      for (const auto& job : inflight_) scan.push_back(job.get());
-    }
-    bool any_done = false;
-    for (Job* job : scan) {
-      if (advance_job(*job, Clock::now())) any_done = true;
-    }
-    if (any_done) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      inflight_.erase(std::remove_if(inflight_.begin(), inflight_.end(),
-                                     [](const std::unique_ptr<Job>& job) {
-                                       return job->done;
-                                     }),
-                      inflight_.end());
-      g_inflight_.set(static_cast<double>(inflight_.size()));
-    } else {
-      // Nothing resolved this scan; yield briefly instead of spinning.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (failover == 0) {
+      // Terminal: cancel every attempt still in flight so its shard aborts
+      // the forward at the next checkpoint instead of finishing an answer
+      // nobody will read. The loser resolves kCancelled at shard level;
+      // it never reaches the router taxonomy.
+      j.done = true;
+      for (const Attempt& other : j.attempts) {
+        if (!other.done) losers.push_back(other.cancel);
+      }
+      out.status = std::move(final.status);
+      out.box = final.box;
+      out.normalised_query = std::move(final.normalised_query);
+      out.retries = final.retries;
+      out.hedged = j.hedged;
+      out.failovers = j.failovers;
+      out.latency_ms = ms_since(j.submitted_at);
+      h_latency_ms_.observe(out.latency_ms);
+      if (out.hedge_won) c_hedges_won_.inc();
+      c_hedge_cancelled_.inc(static_cast<int64_t>(losers.size()));
+      account_locked(out.status.code);
     }
   }
+  if (failover != 0) {
+    dispatch(job, failover);
+    return;
+  }
+  for (const auto& token : losers) token->cancel();
+  job->promise.set_value(std::move(out));
 }
 
 void Router::health_loop() {
@@ -694,11 +613,11 @@ void Router::stop() {
     stopping_ = true;
   }
   cv_.notify_all();
-  // The completion thread drains inflight_ before exiting (every shard
-  // future resolves — services answer everything), so join order matters:
-  // completion first, shards last.
-  if (completion_thread_.joinable()) completion_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
+  // Each shard drains its queue on stop(); the callbacks of those answers
+  // finish their requests or fail over to a shard that is either still
+  // running (and drained later) or already stopped (answers kOverloaded at
+  // once). So every router future has resolved once the last shard stops.
   for (ShardEntry& entry : shards_) {
     if (entry.service) entry.service->stop();
   }

@@ -16,6 +16,10 @@
 //      └─ retryable shard answer (kOverloaded/kInternalError)
 //         └──> failover to the next untried shard on the ring
 //
+//   No router thread waits on attempts: a shard settles each attempt by
+//   calling back into the router, and that callback decides the request
+//   (finish, wait for the racing hedge, or dispatch the failover).
+//
 //   health thread: scores every shard from health() + queue-depth gauges;
 //   a shard whose breaker opens or whose health degrades is taken out of
 //   rotation, drained (queued work still answered), and probed back in
@@ -33,7 +37,9 @@
 //   served + rejected + deadline_exceeded + failed == submitted
 //
 // and holds in every concurrent snapshot (terminal accounting happens under
-// the router mutex, exactly like InferenceService).
+// the router mutex, exactly like InferenceService). Lock order is always
+// router -> shard: shards run the callback with no lock of theirs held, and
+// the router dispatches to a shard only after releasing its own mutex.
 #pragma once
 
 #include <chrono>
@@ -211,8 +217,10 @@ class Router {
   // submit() + wait.
   RouteResponse route(RouteRequest request);
 
-  // Stop admission, resolve every in-flight request, stop the shards.
-  // Idempotent; also called by the destructor.
+  // Stop admission, then stop the shards in turn: each drains its queue,
+  // and a failover sent to a shard already stopped is answered kOverloaded
+  // at once, so every in-flight request resolves. Idempotent; also called
+  // by the destructor.
   void stop();
 
   // --- introspection / chaos hooks ----------------------------------------
@@ -242,11 +250,12 @@ class Router {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // One shard attempt of a request. At most two race (primary + hedge);
+  // a failover is dispatched only once every earlier attempt has failed.
   struct Attempt {
     int64_t shard = -1;
     bool hedge = false;
     bool probe = false;
-    std::future<GroundResponse> future;
     // Per-attempt cancellation handle: when another attempt wins the race,
     // the losers are cancelled so their shards stop burning compute on an
     // answer nobody will read (the shard accounts them kCancelled).
@@ -254,13 +263,14 @@ class Router {
     bool done = false;
   };
 
+  // Shared by the request's shard callbacks. After dispatch every field is
+  // guarded by mutex_ (the immutable request fields are written before).
   struct Job {
     uint64_t key_hash = 0;
     Tensor image;
     std::string query;
     Clock::time_point submitted_at;
     Clock::time_point deadline;  // Clock::time_point::max() == none
-    std::vector<int64_t> tried;
     std::vector<Attempt> attempts;
     std::promise<RouteResponse> promise;
     bool hedged = false;
@@ -289,24 +299,29 @@ class Router {
     int64_t shard = -1;
     bool probe = false;
   };
-  Pick pick_shard(uint64_t key_hash, const std::vector<int64_t>& tried,
+  Pick pick_shard(uint64_t key_hash, const std::vector<Attempt>& tried,
                   Clock::time_point now);
   // Hedge target: first active untried shard after `primary` on the ring.
   int64_t pick_hedge(uint64_t key_hash, int64_t primary);
 
-  // Builds the per-attempt GroundRequest (image storage is shared, not
-  // copied) with a fresh CancelToken and submits it to the shard, filling
-  // attempt.future/attempt.cancel — called WITHOUT mutex_ held (shard
-  // admission validates O(pixels) and takes the shard lock).
-  void dispatch(const Job& job, Attempt& attempt);
+  // Appends an attempt (with a fresh CancelToken) to the job and returns
+  // its index. Caller holds mutex_.
+  size_t add_attempt(Job& job, Pick pick, bool hedge);
+  // Submits attempt `index` to its shard (image storage is shared, not
+  // copied) with settle() as the completion callback — called WITHOUT
+  // mutex_ held (shard admission validates O(pixels) and takes the shard
+  // lock). A synchronous shard rejection re-enters settle() on this
+  // thread; the recursion is bounded by num_shards.
+  void dispatch(const std::shared_ptr<Job>& job, size_t index);
+  // Shard callback for attempt `index`: records shard health, then
+  // finishes the request, waits for its racing attempt, or dispatches the
+  // failover to the next untried shard.
+  void settle(const std::shared_ptr<Job>& job, size_t index,
+              GroundResponse response);
+  // Terminal taxonomy accounting for one request. Caller holds mutex_.
+  void account_locked(StatusCode code);
 
-  void completion_loop();
   void health_loop();
-  // One completion scan over `job`; returns true when the job finished.
-  bool advance_job(Job& job, Clock::time_point now);
-  // Terminal accounting + promise resolution. Takes mutex_.
-  void finish_job(Job& job, GroundResponse response, int64_t shard,
-                  bool hedge_won);
   // Shard outcome feedback (mutex_ held): failure streaks trip the shard
   // out of rotation; probe results close or re-open the half-open state.
   void note_shard_result(int64_t shard, bool retryable_failure, bool probe,
@@ -324,15 +339,9 @@ class Router {
   mutable std::mutex mutex_;  // ring, shard states, jobs, counters
   std::condition_variable cv_;
   HashRing ring_;
-  std::vector<std::unique_ptr<Job>> inflight_;
-  // Submissions past admission but not yet in inflight_ (dispatch runs
-  // outside mutex_). The completion thread refuses to exit while any are
-  // pending, so a submit racing stop() can never strand its job.
-  int64_t submitting_ = 0;
   bool accepting_ = true;
   bool stopping_ = false;
 
-  std::thread completion_thread_;
   std::thread health_thread_;
 
   // Router registry; taxonomy counters only updated under mutex_ (coherent
@@ -353,7 +362,6 @@ class Router {
   obs::Counter& c_shards_drained_;
   obs::Counter& c_shards_restored_;
   obs::Histogram& h_latency_ms_;
-  obs::Gauge& g_inflight_;
 };
 
 // Flatten a router metrics snapshot ("router.*" names) into the flat

@@ -200,27 +200,18 @@ InferenceService::Clock::time_point InferenceService::resolve_deadline(
   return now + std::chrono::milliseconds(ms);
 }
 
-std::future<GroundResponse> InferenceService::submit(GroundRequest request) {
+void InferenceService::submit(GroundRequest request, Callback done) {
   OBS_SPAN("serve.submit");
   const Clock::time_point now = Clock::now();
-  std::promise<GroundResponse> promise;
-  std::future<GroundResponse> future = promise.get_future();
 
-  // Admission rejections resolve the future immediately with a typed
-  // Status; they still count as submitted so the counter invariant holds.
-  const auto reject = [&](Status status,
-                          std::string normalised) -> std::future<GroundResponse> {
+  // Admission rejections answer at once with a typed Status; they still
+  // count as submitted so the counter invariant holds.
+  const auto reject = [&](Status status, std::string normalised) {
     GroundResponse response;
     response.status = std::move(status);
     response.normalised_query = std::move(normalised);
     response.latency_ms = ms_since(now);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      c_submitted_.inc();
-      record(response);
-    }
-    promise.set_value(std::move(response));
-    return std::move(future);
+    deliver(done, std::move(response), /*count_submission=*/true);
   };
 
   // Input validation happens before the request can consume a queue slot
@@ -248,47 +239,48 @@ std::future<GroundResponse> InferenceService::submit(GroundRequest request) {
   const uint64_t image_hash =
       cache_.enabled() ? FeatureCache::hash_image(request.image) : 0;
 
+  Status refusal;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    c_submitted_.inc();
     if (!accepting_) {
-      GroundResponse response;
-      response.status = Status::overloaded("service is stopped or paused");
-      response.normalised_query = std::move(query.normalised);
-      response.latency_ms = ms_since(now);
-      record(response);
-      promise.set_value(std::move(response));
-      return future;
-    }
-    if (static_cast<int64_t>(queue_.size()) >= config_.queue_capacity) {
+      refusal = Status::overloaded("service is stopped or paused");
+    } else if (static_cast<int64_t>(queue_.size()) >=
+               config_.queue_capacity) {
       // Backpressure: reject, never grow. The client sees a typed
       // kOverloaded and can shed load or retry with jitter.
-      GroundResponse response;
-      response.status = Status::overloaded(
-          "admission queue full (capacity " +
-          std::to_string(config_.queue_capacity) + ")");
-      response.normalised_query = std::move(query.normalised);
-      response.latency_ms = ms_since(now);
-      record(response);
-      promise.set_value(std::move(response));
-      return future;
+      refusal = Status::overloaded("admission queue full (capacity " +
+                                   std::to_string(config_.queue_capacity) +
+                                   ")");
+    } else {
+      c_submitted_.inc();
+      Job job;
+      job.image = std::move(request.image);
+      job.tokens = std::move(query.tokens);
+      job.normalised_query = std::move(query.normalised);
+      job.submitted_at = now;
+      job.deadline = deadline;
+      job.cancel = std::move(request.cancel);
+      job.image_hash = image_hash;
+      job.state = std::make_shared<JobState>();
+      job.state->done = std::move(done);
+      queue_.push_back(std::move(job));
+      const double depth = static_cast<double>(queue_.size());
+      g_queue_high_water_.set_max(depth);
+      h_queue_depth_.observe(depth);
     }
-    Job job;
-    job.image = std::move(request.image);
-    job.tokens = std::move(query.tokens);
-    job.normalised_query = std::move(query.normalised);
-    job.submitted_at = now;
-    job.deadline = deadline;
-    job.cancel = std::move(request.cancel);
-    job.image_hash = image_hash;
-    job.state = std::make_shared<JobState>();
-    job.state->promise = std::move(promise);
-    queue_.push_back(std::move(job));
-    const double depth = static_cast<double>(queue_.size());
-    g_queue_high_water_.set_max(depth);
-    h_queue_depth_.observe(depth);
+  }
+  if (!refusal.ok()) {
+    return reject(std::move(refusal), std::move(query.normalised));
   }
   cv_.notify_one();
+}
+
+std::future<GroundResponse> InferenceService::submit(GroundRequest request) {
+  auto promise = std::make_shared<std::promise<GroundResponse>>();
+  std::future<GroundResponse> future = promise->get_future();
+  submit(std::move(request), [promise](GroundResponse response) {
+    promise->set_value(std::move(response));
+  });
   return future;
 }
 
@@ -986,25 +978,29 @@ void InferenceService::maybe_grow_target_locked() {
 void InferenceService::finish(Job& job, GroundResponse response) {
   // Claim the settlement: if the watchdog already failed this request while
   // its worker was wedged, the worker's late answer is dropped on the floor
-  // (accounted exactly once, promise fulfilled exactly once).
+  // (accounted exactly once, answered exactly once).
   if (job.state->settled.exchange(true)) return;
   response.latency_ms = ms_since(job.submitted_at);
   h_latency_ms_.observe(response.latency_ms);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    c_retries_.inc(response.retries);
-    record(response);
-  }
-  job.state->promise.set_value(std::move(response));
+  deliver(job.state->done, std::move(response), /*count_submission=*/false);
 }
 
 void InferenceService::settle(JobState& state, GroundResponse response) {
   if (state.settled.exchange(true)) return;
+  deliver(state.done, std::move(response), /*count_submission=*/false);
+}
+
+void InferenceService::deliver(const Callback& done, GroundResponse response,
+                               bool count_submission) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (count_submission) c_submitted_.inc();
+    c_retries_.inc(response.retries);
     record(response);
   }
-  state.promise.set_value(std::move(response));
+  // Outside mutex_: a router callback takes the router lock and may submit
+  // a failover to another shard, and the lock order is router -> shard.
+  done(std::move(response));
 }
 
 void InferenceService::record(const GroundResponse& response) {

@@ -49,6 +49,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -268,9 +269,16 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  // Admission: validate, stamp the deadline, enqueue. The returned future
-  // always resolves — with a typed error Status on rejection (immediately)
-  // or the worker pool's answer. Never throws on bad input or overload.
+  // Admission: validate, stamp the deadline, enqueue. `done` runs exactly
+  // once with the typed answer — on the calling thread for an admission
+  // rejection, otherwise on the worker (or watchdog) thread that settles
+  // the request — and never with a service lock held, so it may call back
+  // into this or another service. `done` must not throw. Never throws on
+  // bad input or overload.
+  using Callback = std::function<void(GroundResponse)>;
+  void submit(GroundRequest request, Callback done);
+
+  // submit() with the answer delivered through a future.
   std::future<GroundResponse> submit(GroundRequest request);
 
   // submit() + wait.
@@ -297,7 +305,7 @@ class InferenceService {
   obs::MetricsSnapshot metrics_snapshot() const;
 
   // Live p95 of end-to-end request latency (ms) from the service histogram
-  // — lock-free; the router's hedging policy reads this at high frequency.
+  // — lock-free; the router's health thread reads this at high frequency.
   // 0 until the first request completes.
   double latency_p95_ms() const;
 
@@ -312,11 +320,12 @@ class InferenceService {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // Shared settlement state: the promise plus a claim flag, so the worker
-  // and the watchdog (which may fail a wedged worker's request while that
-  // worker is still stuck inside it) settle each request exactly once.
+  // Shared settlement state: the completion callback plus a claim flag, so
+  // the worker and the watchdog (which may fail a wedged worker's request
+  // while that worker is still stuck inside it) settle each request exactly
+  // once.
   struct JobState {
-    std::promise<GroundResponse> promise;
+    Callback done;
     std::atomic<bool> settled{false};
   };
 
@@ -407,11 +416,16 @@ class InferenceService {
   // Baseline tier; always produces a final response (kDegraded or error).
   void run_fallback_tier(Worker& self, Job& job, const std::string& reason,
                          GroundResponse& response);
-  // Fulfil the job's promise and account the response (no-op when the
-  // watchdog already settled it).
+  // Stamp the latency and settle the job (no-op when the watchdog already
+  // settled it).
   void finish(Job& job, GroundResponse response);
   // Settle an arbitrary JobState exactly once (reap path).
   void settle(JobState& state, GroundResponse response);
+  // The one settlement path: account the response under mutex_ (counting
+  // the submission too for an admission rejection), then run `done`
+  // outside it.
+  void deliver(const Callback& done, GroundResponse response,
+               bool count_submission);
   // Classify a terminal response into the counter taxonomy.
   void record(const GroundResponse& response);
   // Map a cancelled forward outcome to its terminal status and observe the
@@ -452,7 +466,9 @@ class InferenceService {
   std::condition_variable cv_;
   std::deque<Job> queue_;
   bool accepting_ = true;
-  bool stopping_ = false;
+  // Written under mutex_; atomic so the plan warm-up loop can poll it
+  // without the lock.
+  std::atomic<bool> stopping_{false};
 
   // Per-service registry (isolated accounting: each service in a test
   // binary owns its own counters) plus cached references for the hot path.

@@ -306,6 +306,101 @@ TEST(RouterTest, StopRejectsNewAndResolvesEverything) {
   expect_invariant(router.counters());
 }
 
+// Four clients keep submitting while another thread stops the router: a
+// submission that passed admission just before stop() may dispatch to a
+// shard that is already stopped, and must still resolve (failover through
+// the stopped shards ends in a typed kOverloaded).
+TEST(RouterTest, SubmitsRacingStopAllResolveWithExactAccounting) {
+  FaultGuard guard;
+  RouterHarness h;
+  Router router(h.model, h.vocab, h.frozen_config(), h.pipeline.get());
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20;
+  std::vector<std::vector<std::future<RouteResponse>>> futures(kThreads);
+  std::atomic<int> submitted{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        futures[static_cast<size_t>(t)].push_back(router.submit(h.request(
+            "race-" + std::to_string(t) + "-" + std::to_string(i),
+            "red circle", static_cast<uint64_t>(t * 100 + i))));
+        submitted.fetch_add(1);
+      }
+    });
+  }
+  while (submitted.load() < (kThreads * kPerThread) / 4) {
+    std::this_thread::yield();
+  }
+  std::thread stopper([&] { router.stop(); });
+  stopper.join();
+  for (std::thread& client : clients) client.join();
+
+  int64_t answered = 0, rejected = 0;
+  for (auto& thread_futures : futures) {
+    for (auto& future : thread_futures) {
+      ASSERT_EQ(future.wait_for(std::chrono::minutes(2)),
+                std::future_status::ready)
+          << "a request was lost across stop()";
+      const RouteResponse response = future.get();
+      if (response.status.answered()) {
+        ++answered;
+      } else {
+        EXPECT_EQ(response.status.code, StatusCode::kOverloaded)
+            << response.status.to_string();
+        ++rejected;
+      }
+    }
+  }
+  const RouterCounters counters = router.counters();
+  EXPECT_EQ(counters.submitted, kThreads * kPerThread);
+  EXPECT_EQ(counters.served, answered);
+  EXPECT_EQ(counters.rejected, rejected);
+  expect_invariant(counters);
+  for (int64_t s = 0; s < router.num_shards(); ++s) {
+    const ServiceCounters c = router.shard(s).counters();
+    EXPECT_EQ(c.served + c.rejected + c.deadline_exceeded + c.failed +
+                  c.cancelled,
+              c.submitted)
+        << "shard " << s;
+  }
+}
+
+// Every shard refuses admission, so each dispatch is rejected on the
+// submitting thread and its callback fails over from inside the previous
+// shard's submit(): the recursion must end after one try per shard with a
+// typed kOverloaded, before submit() even returns.
+TEST(RouterTest, EveryShardPausedFailsOverSynchronouslyToOverloaded) {
+  FaultGuard guard;
+  RouterHarness h;
+  Router router(h.model, h.vocab, h.frozen_config(), h.pipeline.get());
+  for (int64_t s = 0; s < router.num_shards(); ++s) {
+    router.shard(s).pause_admission();
+  }
+
+  std::future<RouteResponse> future = router.submit(h.request("paused"));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "synchronous shard rejections did not settle within submit()";
+  const RouteResponse response = future.get();
+  EXPECT_EQ(response.status.code, StatusCode::kOverloaded)
+      << response.status.to_string();
+  EXPECT_EQ(response.failovers, router.num_shards() - 1);
+
+  const RouterCounters counters = router.counters();
+  EXPECT_EQ(counters.submitted, 1);
+  EXPECT_EQ(counters.rejected, 1);
+  EXPECT_EQ(counters.failovers, router.num_shards() - 1);
+  expect_invariant(counters);
+  for (int64_t s = 0; s < router.num_shards(); ++s) {
+    const ServiceCounters c = router.shard(s).counters();
+    EXPECT_EQ(c.submitted, 1) << "shard " << s;
+    EXPECT_EQ(c.rejected_overloaded, 1) << "shard " << s;
+  }
+}
+
 // --- failover ---------------------------------------------------------------
 
 TEST(RouterTest, FailsOverWhenOwnerShardFails) {
