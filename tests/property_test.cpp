@@ -2,6 +2,7 @@
 // the tensor kernels, autograd, and geometry utilities. Each property is
 // checked across a sweep of random shapes/seeds.
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,20 @@ struct ShapeCase {
   Shape b;  // broadcast-compatible with a
   uint64_t seed;
 };
+
+// Prints the case by value ("a2x3x4_b3x4_seed3"). Without it gtest dumps the
+// struct's bytes, which include the vectors' heap addresses, so the names
+// ctest discovers would change with every build.
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  auto dims = [os](const Shape& s) {
+    for (size_t i = 0; i < s.size(); ++i) *os << (i ? "x" : "") << s[i];
+  };
+  *os << "a";
+  dims(c.a);
+  *os << "_b";
+  dims(c.b);
+  *os << "_seed" << c.seed;
+}
 
 class ElementwiseAlgebra : public ::testing::TestWithParam<ShapeCase> {};
 
