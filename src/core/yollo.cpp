@@ -171,45 +171,43 @@ YolloModel::Losses YolloModel::compute_loss(
   return losses;
 }
 
-YolloModel::ForwardDecode YolloModel::forward_and_decode(
-    const Tensor& images, const std::vector<int64_t>& tokens,
-    bool apply_fault_hooks, bool capture_features) {
-  if (yollo::plan::enabled()) {
-    if (std::shared_ptr<yollo::plan::Plan> p = planned_for(images, tokens)) {
-      yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-      if (g) {
-        // Arena-backed views of the outputs; the plan shared_ptr keeps the
-        // arena alive. Decode happens while the guard is held — another
-        // thread executing this plan would overwrite the arena under us.
-        Output out;
-        out.scores = ag::Variable::constant(Tensor::from_external(
-            g.scores_shape(), const_cast<float*>(g.scores()), p));
-        out.deltas = ag::Variable::constant(Tensor::from_external(
-            g.deltas_shape(), const_cast<float*>(g.deltas()), p));
-        ForwardDecode fd = decode_and_scan(out, images.size(3), images.size(2),
-                                           apply_fault_hooks);
-        if (capture_features && g.has_features()) {
-          // Clone while the guard is held — releasing it would let another
-          // execution overwrite the feature region under the copy.
-          fd.features =
-              Tensor::from_external(g.features_shape(),
-                                    const_cast<float*>(g.features()), p)
-                  .clone();
-        }
-        return fd;
-      }
-      {
-        std::lock_guard<std::mutex> lk(plan_mu_);
-        ++plan_stats_.fallbacks;
-      }
-      static obs::Counter& fallbacks =
-          obs::MetricsRegistry::global().counter("plan.fallbacks");
-      fallbacks.inc();
-    }
+YolloModel::Output YolloModel::run_forward(
+    const Tensor& input, const std::vector<int64_t>& tokens,
+    bool from_features, yollo::plan::Plan::ExecGuard& guard) {
+  std::shared_ptr<yollo::plan::Plan> p =
+      yollo::plan::enabled() ? planned_for(input.size(0)) : nullptr;
+  if (p == nullptr || (from_features && !p->has_feature_entry())) {
+    return from_features
+               ? fuse_features(ag::Variable::constant(input), tokens)
+               : forward(input, tokens);
   }
-  Output out = forward(images, tokens);
-  ForwardDecode fd =
-      decode_and_scan(out, images.size(3), images.size(2), apply_fault_hooks);
+  guard = from_features ? p->execute_from_features(input, tokens)
+                        : p->execute(input, tokens);
+  // Arena-backed views of the outputs; the plan shared_ptr keeps the arena
+  // alive, and the guard keeps another execution from overwriting it.
+  const auto view = [&p](const Shape& shape, const float* data) {
+    return ag::Variable::constant(
+        Tensor::from_external(shape, const_cast<float*>(data), p));
+  };
+  Output out;
+  out.scores = view(guard.scores_shape(), guard.scores());
+  out.deltas = view(guard.deltas_shape(), guard.deltas());
+  if (guard.has_features()) {
+    out.feat = view(guard.features_shape(), guard.features());
+  }
+  return out;
+}
+
+YolloModel::ForwardDecode YolloModel::forward_and_decode(
+    const Tensor& input, const std::vector<int64_t>& tokens,
+    bool from_features, bool apply_fault_hooks, bool capture_features) {
+  // Held through decode and capture: on the planned path `out` views the
+  // arena.
+  yollo::plan::Plan::ExecGuard guard;
+  Output out = run_forward(input, tokens, from_features, guard);
+  ForwardDecode fd = decode_and_scan(
+      out, from_features ? config_.img_w : input.size(3),
+      from_features ? config_.img_h : input.size(2), apply_fault_hooks);
   if (capture_features) fd.features = out.feat.value().clone();
   return fd;
 }
@@ -276,11 +274,14 @@ YolloModel::ForwardDecode YolloModel::decode_and_scan(Output& out,
   return fd;
 }
 
-std::shared_ptr<yollo::plan::Plan> YolloModel::build_plan(
-    const Tensor& images, const std::vector<int64_t>& tokens,
-    std::string* why) {
+std::shared_ptr<yollo::plan::Plan> YolloModel::build_plan(int64_t batch) {
   OBS_SPAN("plan.record");
   yollo::plan::Recorder rec;
+  // Recording is structural, so zero inputs serve every later request of
+  // this batch size (all-PAD tokens; the gather replays the caller's ids).
+  const Tensor images({batch, 3, config_.img_h, config_.img_w});
+  const std::vector<int64_t> tokens(
+      static_cast<size_t>(batch * config_.max_query_len), 0);
   rec.set_tokens(tokens);
   Output out;
   {
@@ -289,15 +290,14 @@ std::shared_ptr<yollo::plan::Plan> YolloModel::build_plan(
     ag::trace::Scope scope(&rec);
     out = forward(images, tokens);
   }
-  // Features ride along as a third plan output so serving can populate the
-  // feature cache straight from the arena — no second forward, no dynamic
-  // fallback just to capture them.
-  return rec.compile(out.scores.value(), out.deltas.value(), why,
+  // Features ride along as a third plan output: serving populates the
+  // feature cache straight from the arena, and the plan's feature entry
+  // starts at that slot.
+  return rec.compile(out.scores.value(), out.deltas.value(), /*why=*/nullptr,
                      &out.feat.value());
 }
 
-std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(
-    const Tensor& images, const std::vector<int64_t>& tokens) {
+std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(int64_t batch) {
   constexpr size_t kMaxPlanEntries = 16;
   constexpr int64_t kPlanRetryPeriod = 64;
   static obs::Counter& hits =
@@ -305,24 +305,16 @@ std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(
   static obs::Counter& misses =
       obs::MetricsRegistry::global().counter("plan.cache_misses");
 
-  const int64_t b = images.size(0);
-  std::unique_lock<std::mutex> lk(plan_mu_);
-  auto it = plan_cache_.find(b);
+  // Held across a build: a concurrent miss waits for the plan instead of
+  // running eagerly beside it. Serving never contends here — every worker
+  // owns its replica.
+  std::lock_guard<std::mutex> lk(plan_mu_);
+  auto it = plan_cache_.find(batch);
   if (it == plan_cache_.end()) {
     if (plan_cache_.size() >= kMaxPlanEntries) {
-      // Bound the cache: evict the first idle entry. Entries mid-build are
-      // never erased (the builder holds a reference across the unlock).
-      auto victim = plan_cache_.end();
-      for (auto c = plan_cache_.begin(); c != plan_cache_.end(); ++c) {
-        if (!c->second.building) {
-          victim = c;
-          break;
-        }
-      }
-      if (victim == plan_cache_.end()) return nullptr;
-      plan_cache_.erase(victim);
+      plan_cache_.erase(plan_cache_.begin());
     }
-    it = plan_cache_.emplace(b, PlanEntry{}).first;
+    it = plan_cache_.emplace(batch, PlanEntry{}).first;
   }
   PlanEntry& e = it->second;
   if (e.plan) {
@@ -330,7 +322,6 @@ std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(
     hits.inc();
     return e.plan;
   }
-  if (e.building) return nullptr;  // concurrent miss: dynamic, non-blocking
   if (e.failed) {
     // Unplannable traces stay failed; budget refusals may clear up, so
     // retry periodically instead of never.
@@ -339,34 +330,18 @@ std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(
   }
   ++plan_stats_.misses;
   misses.inc();
-  e.plan.reset();  // release any old arena BEFORE building: one budget charge
-  e.building = true;
-  lk.unlock();
-
-  std::shared_ptr<yollo::plan::Plan> built;
-  bool failed = false;
+  // Cancellation or a fault mid-recording propagates and leaves the entry
+  // clean, so the next request retries the build.
   try {
-    std::string why;
-    built = build_plan(images, tokens, &why);
-    failed = (built == nullptr);
+    e.plan = build_plan(batch);
   } catch (const PoolBudgetExceeded&) {
     // Arena refused by the pool budget: degrade to the dynamic path (which
     // runs inside the budgeted pool) instead of failing the request.
-    failed = true;
-  } catch (...) {
-    // Cancellation or a fault mid-recording: leave the entry clean so the
-    // next request retries the build.
-    lk.lock();
-    e.building = false;
-    throw;
   }
-  lk.lock();
-  e.building = false;
-  if (failed) {
+  if (!e.plan) {
     e.failed = true;
     return nullptr;
   }
-  e.plan = std::move(built);
   ++plan_stats_.compiles;
   int64_t bytes = 0;
   for (const auto& [key, entry] : plan_cache_) {
@@ -384,22 +359,17 @@ void YolloModel::warm_plan(int64_t batch) {
   nn::EvalModeGuard eval_mode(*this);
   // Deliberately no PoolScope: the arena's byte charge must land on the
   // caller's active budget scope (the serve worker's), not a transient one.
-  Tensor images({batch, 3, config_.img_h, config_.img_w});
-  std::vector<int64_t> tokens(
-      static_cast<size_t>(batch * config_.max_query_len), 0);
-  std::shared_ptr<yollo::plan::Plan> p = planned_for(images, tokens);
-  if (p) {
+  if (std::shared_ptr<yollo::plan::Plan> p = planned_for(batch)) {
     // One throwaway execution warms the GEMM pack scratch and obs rings so
     // the first real request runs at steady state.
-    yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-    (void)g;
+    p->execute(Tensor({batch, 3, config_.img_h, config_.img_w}),
+               std::vector<int64_t>(
+                   static_cast<size_t>(batch * config_.max_query_len), 0));
   }
 }
 
 bool YolloModel::planned(int64_t batch) {
-  std::lock_guard<std::mutex> lk(plan_mu_);
-  auto it = plan_cache_.find(batch);
-  return it != plan_cache_.end() && it->second.plan != nullptr;
+  return cached_plan(batch) != nullptr;
 }
 
 void YolloModel::invalidate_plans() {
@@ -407,13 +377,7 @@ void YolloModel::invalidate_plans() {
   // cached backbone features derived from the old weights are stale too.
   weights_generation_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lk(plan_mu_);
-  // Reset in place instead of erasing: a concurrent build holds references
-  // to its entry across the cache unlock.
-  for (auto& [key, e] : plan_cache_) {
-    e.plan.reset();
-    e.failed = false;
-    e.misses = 0;
-  }
+  plan_cache_.clear();
 }
 
 YolloModel::PlanCacheStats YolloModel::plan_cache_stats() {
@@ -435,40 +399,29 @@ YolloModel::RawForward YolloModel::raw_forward(
   ag::NoGradGuard no_grad;
   nn::EvalModeGuard eval_mode(*this);
   PoolScope pool;
+  yollo::plan::Plan::ExecGuard guard;
+  const Output out =
+      run_forward(images, tokens, /*from_features=*/false, guard);
   RawForward rf;
-  if (yollo::plan::enabled()) {
-    if (std::shared_ptr<yollo::plan::Plan> p = planned_for(images, tokens)) {
-      yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-      if (g) {
-        // Clone out of the arena while the guard is held.
-        rf.scores = Tensor::from_external(g.scores_shape(),
-                                          const_cast<float*>(g.scores()), p)
-                        .clone();
-        rf.deltas = Tensor::from_external(g.deltas_shape(),
-                                          const_cast<float*>(g.deltas()), p)
-                        .clone();
-        rf.planned = true;
-        return rf;
-      }
-    }
-  }
-  Output out = forward(images, tokens);
   rf.scores = out.scores.value().clone();
   rf.deltas = out.deltas.value().clone();
+  rf.planned = static_cast<bool>(guard);
   return rf;
 }
 
-bool YolloModel::run_planned(const Tensor& images,
-                             const std::vector<int64_t>& tokens) {
-  std::shared_ptr<yollo::plan::Plan> p;
-  {
-    std::lock_guard<std::mutex> lk(plan_mu_);
-    auto it = plan_cache_.find(images.size(0));
-    if (it != plan_cache_.end()) p = it->second.plan;
+bool YolloModel::run_planned(const Tensor& input,
+                             const std::vector<int64_t>& tokens,
+                             bool from_features) {
+  const std::shared_ptr<yollo::plan::Plan> p = cached_plan(input.size(0));
+  if (p == nullptr || (from_features && !p->has_feature_entry())) {
+    return false;
   }
-  if (!p) return false;
-  yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-  return static_cast<bool>(g);
+  if (from_features) {
+    p->execute_from_features(input, tokens);
+  } else {
+    p->execute(input, tokens);
+  }
+  return true;
 }
 
 std::shared_ptr<yollo::plan::Plan> YolloModel::cached_plan(int64_t batch) {
@@ -484,8 +437,8 @@ std::vector<vision::Box> YolloModel::predict(
   ag::NoGradGuard no_grad;
   nn::EvalModeGuard eval_mode(*this);
   PoolScope pool;
-  ForwardDecode fd =
-      forward_and_decode(images, tokens, /*apply_fault_hooks=*/false);
+  ForwardDecode fd = forward_and_decode(images, tokens, /*from_features=*/false,
+                                        /*apply_fault_hooks=*/false);
   if (!fd.all_ok()) {
     throw std::runtime_error("YolloModel::predict: " + fd.message);
   }
@@ -495,6 +448,19 @@ std::vector<vision::Box> YolloModel::predict(
 YolloModel::InferOutcome YolloModel::infer(
     const Tensor& images, const std::vector<int64_t>& tokens,
     bool capture_features) noexcept {
+  return infer_impl(images, tokens, /*from_features=*/false,
+                    capture_features);
+}
+
+YolloModel::InferOutcome YolloModel::infer_from_features(
+    const Tensor& features, const std::vector<int64_t>& tokens) noexcept {
+  return infer_impl(features, tokens, /*from_features=*/true,
+                    /*capture_features=*/false);
+}
+
+YolloModel::InferOutcome YolloModel::infer_impl(
+    const Tensor& input, const std::vector<int64_t>& tokens,
+    bool from_features, bool capture_features) noexcept {
   InferOutcome outcome;
   const auto fail = [&outcome](InferError error, std::string message) {
     outcome.error = error;
@@ -504,18 +470,26 @@ YolloModel::InferOutcome YolloModel::infer(
   };
 
   try {
-    // Shape contract first: forward() would throw (or worse, mis-reshape)
-    // on anything else.
-    if (!images.defined() || images.ndim() != 4 || images.size(0) < 1 ||
-        images.size(1) != 3 || images.size(2) != config_.img_h ||
-        images.size(3) != config_.img_w) {
+    // Shape contract first: the forward would throw (or worse, mis-reshape)
+    // on anything else. Images are [B,3,img_h,img_w]; features
+    // [B,C,grid_h,grid_w].
+    const int64_t want[3] = {
+        from_features ? config_.backbone.out_channels() : 3,
+        from_features ? config_.grid_h() : config_.img_h,
+        from_features ? config_.grid_w() : config_.img_w};
+    if (!input.defined() || input.ndim() != 4 || input.size(0) < 1 ||
+        input.size(1) != want[0] || input.size(2) != want[1] ||
+        input.size(3) != want[2]) {
       return fail(InferError::kInvalidInput,
-                  "expected images [B,3," + std::to_string(config_.img_h) +
-                      "," + std::to_string(config_.img_w) + "], got " +
-                      (images.defined() ? shape_to_string(images.shape())
-                                        : std::string("<undefined>")));
+                  std::string("expected ") +
+                      (from_features ? "features" : "images") + " [B," +
+                      std::to_string(want[0]) + "," +
+                      std::to_string(want[1]) + "," +
+                      std::to_string(want[2]) + "], got " +
+                      (input.defined() ? shape_to_string(input.shape())
+                                       : std::string("<undefined>")));
     }
-    const int64_t b = images.size(0);
+    const int64_t b = input.size(0);
     if (static_cast<int64_t>(tokens.size()) != b * config_.max_query_len) {
       return fail(InferError::kInvalidInput,
                   "token count " + std::to_string(tokens.size()) +
@@ -531,11 +505,13 @@ YolloModel::InferOutcome YolloModel::infer(
                         ")");
       }
     }
-    const float* pixels = images.data();
-    for (int64_t i = 0; i < images.numel(); ++i) {
-      if (!std::isfinite(pixels[i])) {
+    const float* values = input.data();
+    for (int64_t i = 0; i < input.numel(); ++i) {
+      if (!std::isfinite(values[i])) {
         return fail(InferError::kInvalidInput,
-                    "non-finite pixel at flat index " + std::to_string(i));
+                    std::string("non-finite ") +
+                        (from_features ? "feature" : "pixel") +
+                        " at flat index " + std::to_string(i));
       }
     }
 
@@ -548,11 +524,13 @@ YolloModel::InferOutcome YolloModel::infer(
     // Fault hooks: a slow-forward fault sleeps here, a transient forward
     // failure throws here (caught below as kFault). active() resolves to a
     // thread-bound scoped injector when one is installed (per-shard chaos),
-    // else the env-driven process-wide instance.
+    // else the env-driven process-wide instance. A cached-path forward is
+    // one attempt exactly like an uncached one.
     runtime::FaultInjector::active().check_forward();
 
-    ForwardDecode fd = forward_and_decode(
-        images, tokens, /*apply_fault_hooks=*/true, capture_features);
+    ForwardDecode fd =
+        forward_and_decode(input, tokens, from_features,
+                           /*apply_fault_hooks=*/true, capture_features);
     // A context cancelled on the *last* kernel has no later dispatch
     // checkpoint to throw from, and the abandoned kernel's partial output
     // can look finite — so the cancelled flag always wins over whatever
@@ -570,95 +548,6 @@ YolloModel::InferOutcome YolloModel::infer(
       outcome.error = fd.error;
       outcome.message = std::move(fd.message);
       outcome.boxes.clear();  // all-or-nothing view; per-element data stays
-      return outcome;
-    }
-    outcome.boxes = outcome.element_boxes;
-    return outcome;
-  } catch (const ExecCancelled& e) {
-    return fail(InferError::kCancelled, e.what());
-  } catch (const PoolBudgetExceeded& e) {
-    return fail(InferError::kResourceExhausted, e.what());
-  } catch (const std::exception& e) {
-    return fail(InferError::kFault, e.what());
-  } catch (...) {
-    return fail(InferError::kFault, "unknown exception during forward");
-  }
-}
-
-YolloModel::InferOutcome YolloModel::infer_from_features(
-    const Tensor& features, const std::vector<int64_t>& tokens) noexcept {
-  InferOutcome outcome;
-  const auto fail = [&outcome](InferError error, std::string message) {
-    outcome.error = error;
-    outcome.message = std::move(message);
-    outcome.boxes.clear();
-    return outcome;
-  };
-
-  try {
-    const int64_t c = config_.backbone.out_channels();
-    if (!features.defined() || features.ndim() != 4 || features.size(0) < 1 ||
-        features.size(1) != c || features.size(2) != config_.grid_h() ||
-        features.size(3) != config_.grid_w()) {
-      return fail(InferError::kInvalidInput,
-                  "expected features [B," + std::to_string(c) + "," +
-                      std::to_string(config_.grid_h()) + "," +
-                      std::to_string(config_.grid_w()) + "], got " +
-                      (features.defined() ? shape_to_string(features.shape())
-                                          : std::string("<undefined>")));
-    }
-    const int64_t b = features.size(0);
-    if (static_cast<int64_t>(tokens.size()) != b * config_.max_query_len) {
-      return fail(InferError::kInvalidInput,
-                  "token count " + std::to_string(tokens.size()) +
-                      " != B*max_query_len = " +
-                      std::to_string(b * config_.max_query_len));
-    }
-    const int64_t vocab = word_emb_.weight.size(0);
-    for (const int64_t token : tokens) {
-      if (token < 0 || token >= vocab) {
-        return fail(InferError::kInvalidInput,
-                    "token id " + std::to_string(token) +
-                        " outside vocabulary [0, " + std::to_string(vocab) +
-                        ")");
-      }
-    }
-    const float* values = features.data();
-    for (int64_t i = 0; i < features.numel(); ++i) {
-      if (!std::isfinite(values[i])) {
-        return fail(InferError::kInvalidInput,
-                    "non-finite feature at flat index " + std::to_string(i));
-      }
-    }
-
-    ag::NoGradGuard no_grad;
-    nn::EvalModeGuard eval_mode(*this);
-    PoolScope pool;
-
-    // Same per-forward fault hook as infer(): a cached-path forward is one
-    // attempt exactly like an uncached one, so retry/chaos accounting (and
-    // the slow/fail/wedge shot counters) cannot drift between the paths.
-    runtime::FaultInjector::active().check_forward();
-
-    // The cached path runs the fusion half dynamically: per-batch-size
-    // static plans span the full forward (backbone included), and a second
-    // plan family per batch size is not worth the arena memory for a stage
-    // that is already a fraction of the full pass (DESIGN.md §15).
-    Output out = fuse_features(ag::Variable::constant(features), tokens);
-    ForwardDecode fd = decode_and_scan(out, config_.img_w, config_.img_h,
-                                       /*apply_fault_hooks=*/true);
-    if (ExecContext* ctx = ExecContext::current();
-        ctx != nullptr && ctx->cancelled()) {
-      return fail(InferError::kCancelled,
-                  std::string("forward cancelled: ") +
-                      cancel_cause_name(ctx->cause()));
-    }
-    outcome.element_errors = std::move(fd.element_errors);
-    outcome.element_boxes = std::move(fd.boxes);
-    if (!fd.all_ok()) {
-      outcome.error = fd.error;
-      outcome.message = std::move(fd.message);
-      outcome.boxes.clear();
       return outcome;
     }
     outcome.boxes = outcome.element_boxes;

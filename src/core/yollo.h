@@ -17,11 +17,8 @@
 #include "core/detection_head.h"
 #include "core/rel2att.h"
 #include "nn/layers.h"
+#include "plan/plan.h"
 #include "vision/backbone.h"
-
-namespace yollo::plan {
-class Plan;
-}
 
 namespace yollo::core {
 
@@ -133,10 +130,11 @@ class YolloModel : public nn::Module {
 
   // infer() for precomputed backbone features ([B, C, grid_h, grid_w], as
   // captured by a previous infer(..., true)): skips the backbone and runs
-  // only the Rel2Att stack + head on the dynamic path. Same guard stack,
-  // fault hooks, per-element verdicts, and cancellation semantics as
-  // infer() — one FaultInjector::check_forward() per call, so retry and
-  // chaos accounting cannot drift between the cached and uncached paths.
+  // only the Rel2Att stack + head, through the cached plan's feature entry
+  // when there is one. Shares infer()'s body — guard stack, fault hooks,
+  // per-element verdicts, cancellation — so there is one
+  // FaultInjector::check_forward() per call and retry and chaos accounting
+  // cannot drift between the cached and uncached paths.
   InferOutcome infer_from_features(const Tensor& features,
                                    const std::vector<int64_t>& tokens) noexcept;
 
@@ -163,12 +161,13 @@ class YolloModel : public nn::Module {
   const std::vector<vision::Box>& anchors() const { return head_.anchors(); }
 
   // --- static forward plans (DESIGN.md §14) --------------------------------
-  // predict()/infer() route through a per-batch-size compiled plan when
-  // yollo::plan::enabled() (YOLLO_PLAN=0 disables). Plans are recorded
-  // lazily on first use; warm_plan() builds and runs one eagerly so serving
-  // workers take no compile hit on their first real request. Charges the
-  // caller's active pool budget for the arena; on PoolBudgetExceeded the
-  // entry is marked failed and execution degrades to the dynamic path.
+  // predict()/infer()/infer_from_features() route through a per-batch-size
+  // compiled plan when yollo::plan::enabled() (YOLLO_PLAN=0 disables). Plans
+  // are recorded lazily on first use; warm_plan() builds and runs one
+  // eagerly so serving workers take no compile hit on their first real
+  // request. Charges the caller's active pool budget for the arena; on
+  // PoolBudgetExceeded the entry is marked failed and execution degrades to
+  // the dynamic path, as it does for an unplannable trace.
   void warm_plan(int64_t batch);
 
   // True when a plan for this batch size is cached and ready.
@@ -184,7 +183,6 @@ class YolloModel : public nn::Module {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t compiles = 0;
-    int64_t fallbacks = 0;  // plan existed but was busy / shape-mismatched
     int64_t arena_bytes = 0;
   };
   PlanCacheStats plan_cache_stats();
@@ -192,9 +190,10 @@ class YolloModel : public nn::Module {
   // Test hooks. raw_forward runs the same guarded forward predict() runs
   // and returns the raw score/delta tensors (cloned out of the arena on the
   // planned path) plus which path executed — the bitwise plan-vs-dynamic
-  // tests diff these. run_planned executes an already-cached plan with no
-  // decode and no output wrapping (the zero-allocation probe); returns
-  // false when no plan is cached or it was busy.
+  // tests diff these. run_planned executes an already-cached plan, from
+  // images or (from_features) from backbone features, with no decode and
+  // no output wrapping (the zero-allocation probe); returns false when no
+  // plan (or no feature entry) is cached.
   struct RawForward {
     Tensor scores;
     Tensor deltas;
@@ -202,17 +201,30 @@ class YolloModel : public nn::Module {
   };
   RawForward raw_forward(const Tensor& images,
                          const std::vector<int64_t>& tokens);
-  bool run_planned(const Tensor& images, const std::vector<int64_t>& tokens);
+  bool run_planned(const Tensor& input, const std::vector<int64_t>& tokens,
+                   bool from_features = false);
 
   // The cached plan for a batch size (nullptr when none): arena-layout
   // introspection for tests and diagnostics.
   std::shared_ptr<yollo::plan::Plan> cached_plan(int64_t batch);
 
  private:
-  // Shared forward-and-decode core for predict() and infer(): one place
-  // owns the finiteness scan and the bounds clipping, so the two entry
-  // points can never drift. Assumes the caller installed the inference
-  // guards; may propagate exceptions from forward().
+  // The one body of infer() and infer_from_features(): input validation,
+  // guards, the fault hook, the cancel check and outcome assembly. `input`
+  // is images, or backbone features when from_features.
+  InferOutcome infer_impl(const Tensor& input,
+                          const std::vector<int64_t>& tokens,
+                          bool from_features, bool capture_features) noexcept;
+
+  // The forward from images or features: through the cached plan when there
+  // is one (its outputs are arena views, valid while `guard` is held),
+  // eagerly otherwise. Assumes the caller installed the inference guards.
+  Output run_forward(const Tensor& input, const std::vector<int64_t>& tokens,
+                     bool from_features, yollo::plan::Plan::ExecGuard& guard);
+
+  // Shared forward-and-decode core for predict() and infer_impl(): one
+  // place owns the finiteness scan and the bounds clipping, so the entry
+  // points can never drift. May propagate exceptions from the forward.
   struct ForwardDecode {
     InferError error = InferError::kNone;  // kNone iff every element is ok
     std::string message;
@@ -221,9 +233,9 @@ class YolloModel : public nn::Module {
     Tensor features;  // cloned backbone features when capture was requested
     bool all_ok() const { return error == InferError::kNone; }
   };
-  ForwardDecode forward_and_decode(const Tensor& images,
+  ForwardDecode forward_and_decode(const Tensor& input,
                                    const std::vector<int64_t>& tokens,
-                                   bool apply_fault_hooks,
+                                   bool from_features, bool apply_fault_hooks,
                                    bool capture_features = false);
 
   // Finiteness scan + top-1 decode + clipping over a forward's outputs.
@@ -234,20 +246,17 @@ class YolloModel : public nn::Module {
                                 bool apply_fault_hooks);
 
   // Plan cache (keyed by batch size; image dims and query length are fixed
-  // by the config). `building` makes concurrent misses fall back to the
-  // dynamic path instead of blocking behind the recording thread; `failed`
-  // entries retry every kPlanRetryPeriod misses in case budget freed up.
+  // by the config). plan_mu_ is held across a build, so a concurrent miss
+  // waits for the plan; `failed` entries retry every kPlanRetryPeriod
+  // misses in case budget freed up.
   struct PlanEntry {
     std::shared_ptr<yollo::plan::Plan> plan;
     bool failed = false;
-    bool building = false;
     int64_t misses = 0;
   };
-  std::shared_ptr<yollo::plan::Plan> planned_for(
-      const Tensor& images, const std::vector<int64_t>& tokens);
-  std::shared_ptr<yollo::plan::Plan> build_plan(
-      const Tensor& images, const std::vector<int64_t>& tokens,
-      std::string* why);
+  std::shared_ptr<yollo::plan::Plan> planned_for(int64_t batch);
+  // nullptr when the trace is unplannable.
+  std::shared_ptr<yollo::plan::Plan> build_plan(int64_t batch);
 
   std::mutex plan_mu_;
   std::map<int64_t, PlanEntry> plan_cache_;

@@ -189,21 +189,16 @@ void Plan::run_eltwise(const Op& op) const {
   });
 }
 
-void Plan::execute_locked(const Tensor& images,
-                          const std::vector<int64_t>& tokens) {
+void Plan::run_from(size_t first, const std::vector<int64_t>& tokens) {
   OBS_SPAN("plan.execute");
   ExecContext* ctx = ExecContext::current();
-  // Prologue: refill the input slots. Identical fills to the dynamic
-  // forward (the model calls the same kernels).
-  if (coords_ptr_ != nullptr) {
-    kernels::fill_coord_channels(images.data(), coords_ptr_, batch_, img_h_,
-                                 img_w_);
-  }
+  // Identical fill to the dynamic forward (the model calls the same kernel).
   if (mask_ptr_ != nullptr) {
     kernels::fill_pair_mask(tokens.data(), batch_, mask_m_, mask_n_,
                             mask_ptr_);
   }
-  for (const Op& op : ops_) {
+  for (size_t i = first; i < ops_.size(); ++i) {
+    const Op& op = ops_[i];
     if (ctx != nullptr) ctx->throw_if_cancelled();
     switch (op.kind) {
       case OpKind::kEltwise:
@@ -268,16 +263,35 @@ void Plan::execute_locked(const Tensor& images,
   }
 }
 
-Plan::ExecGuard Plan::try_execute(const Tensor& images,
-                                  const std::vector<int64_t>& tokens) {
-  std::unique_lock<std::mutex> lk(exec_mu_, std::try_to_lock);
-  if (!lk.owns_lock()) return {};
+Plan::ExecGuard Plan::execute(const Tensor& images,
+                              const std::vector<int64_t>& tokens) {
   if (images.ndim() != 4 || images.size(0) != batch_ ||
       images.size(2) != img_h_ || images.size(3) != img_w_ ||
       static_cast<int64_t>(tokens.size()) != tokens_count_) {
-    return {};
+    throw std::invalid_argument("Plan::execute: images " +
+                                shape_to_string(images.shape()) +
+                                " do not match the recorded geometry");
   }
-  execute_locked(images, tokens);
+  std::unique_lock<std::mutex> lk(exec_mu_);
+  kernels::fill_coord_channels(images.data(), coords_ptr_, batch_, img_h_,
+                               img_w_);
+  run_from(0, tokens);
+  return ExecGuard(this, std::move(lk));
+}
+
+Plan::ExecGuard Plan::execute_from_features(
+    const Tensor& features, const std::vector<int64_t>& tokens) {
+  if (fusion_begin_ < 0 || features.shape() != feat_shape_ ||
+      static_cast<int64_t>(tokens.size()) != tokens_count_) {
+    throw std::invalid_argument("Plan::execute_from_features: features " +
+                                shape_to_string(features.shape()) +
+                                " do not match the recorded seam");
+  }
+  std::unique_lock<std::mutex> lk(exec_mu_);
+  std::memcpy(arena_->base() + slots_[static_cast<size_t>(feat_slot_)].offset,
+              features.data(),
+              static_cast<size_t>(features.numel()) * sizeof(float));
+  run_from(static_cast<size_t>(fusion_begin_), tokens);
   return ExecGuard(this, std::move(lk));
 }
 
@@ -673,6 +687,39 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
         break;
       }
     }
+  }
+
+  // --- feature entry ---------------------------------------------------------
+  // The fusion half is every op reachable backward from scores/deltas without
+  // passing through the feature slot. It gets an entry point only when it is
+  // a suffix of the op list that reads nothing defined before it except the
+  // feature slot, bound constants and the pair mask (refilled per entry).
+  if (feat_slot >= 0) {
+    std::vector<uint8_t> need(n_slots, 0);
+    need[static_cast<size_t>(scores_slot)] = 1;
+    need[static_cast<size_t>(deltas_slot)] = 1;
+    int32_t first = num_ops;
+    for (int32_t i = num_ops; i-- > 0;) {
+      const Op& op = plan->ops_[static_cast<size_t>(i)];
+      if (!need[static_cast<size_t>(op.out)]) continue;
+      first = i;
+      for (int32_t a : op.args) {
+        if (a != feat_slot) need[static_cast<size_t>(a)] = 1;
+      }
+    }
+    bool clean = first < num_ops;
+    for (int32_t i = first; i < num_ops && clean; ++i) {
+      const Op& op = plan->ops_[static_cast<size_t>(i)];
+      clean = need[static_cast<size_t>(op.out)] != 0;
+      for (int32_t a : op.args) {
+        const Slot& s = plan->slots_[static_cast<size_t>(a)];
+        const bool mask = s.is_input && base + s.offset == plan->mask_ptr_;
+        if (!s.external && a != feat_slot && !mask && s.def < first) {
+          clean = false;
+        }
+      }
+    }
+    if (clean) plan->fusion_begin_ = first;
   }
 
   static obs::Counter& compiles =

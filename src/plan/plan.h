@@ -8,7 +8,9 @@
 // intermediate assigned a fixed offset into a single arena allocation by
 // liveness analysis. Steady-state planned forwards therefore perform zero
 // heap allocations and zero shape/dispatch work: the executor is one loop
-// over raw-pointer kernel calls.
+// over raw-pointer kernel calls. A plan has two entry points: the full
+// forward from images, and the fusion half from cached backbone features
+// (the ops past the feature slot, same arena, same op order).
 //
 // Correctness contract: planned execution is bitwise identical to the
 // dynamic eager path at the same inputs and thread count. This is enforced
@@ -161,9 +163,10 @@ struct Op {
 
 class Plan {
  public:
-  // Movable-from ExecGuard returned by try_execute: truthy when the plan ran,
-  // and holds the execution lock so the caller can read the output pointers
-  // before another thread's execution overwrites the arena.
+  // Movable-from ExecGuard returned by execute/execute_from_features (empty
+  // when default-constructed): holds the execution lock so the caller can
+  // read the output pointers before another thread's execution overwrites
+  // the arena.
   class ExecGuard {
    public:
     ExecGuard() = default;
@@ -197,13 +200,25 @@ class Plan {
     std::unique_lock<std::mutex> lock_;
   };
 
-  // Runs the planned forward for `images`/`tokens` (which must match the
-  // recorded batch geometry). Returns an empty guard without blocking when
-  // another thread is executing this plan (the caller falls back to the
-  // dynamic path). Throws ExecCancelled at op boundaries when the caller's
-  // ExecContext is cancelled. Allocation-free after warmup.
-  ExecGuard try_execute(const Tensor& images,
-                        const std::vector<int64_t>& tokens);
+  // Runs the planned forward for `images`/`tokens`, which must match the
+  // recorded batch geometry (std::invalid_argument otherwise). Waits while
+  // another thread executes this plan. Throws ExecCancelled at op
+  // boundaries when the caller's ExecContext is cancelled. Allocation-free
+  // after warmup.
+  ExecGuard execute(const Tensor& images, const std::vector<int64_t>& tokens);
+
+  // The second entry point, at the backbone-feature seam: copies `features`
+  // ([B, C, grid_h, grid_w], as read from features()) into the feature slot
+  // and runs only the fusion ops (Rel2Att stack + head), in the same arena
+  // with the same checkpoints. Bitwise equal to the scores/deltas of the
+  // execute() that produced the features. Requires has_feature_entry().
+  ExecGuard execute_from_features(const Tensor& features,
+                                  const std::vector<int64_t>& tokens);
+
+  // True when compile() found a clean seam: the ops past the feature slot
+  // read nothing defined before it except the features, bound constants and
+  // the pair mask. Fail-closed — without it, callers run that half eagerly.
+  bool has_feature_entry() const { return fusion_begin_ >= 0; }
 
   int64_t batch() const { return batch_; }
   int64_t arena_bytes() const { return arena_ ? arena_->bytes() : 0; }
@@ -221,7 +236,7 @@ class Plan {
  private:
   friend class Recorder;
   Plan() = default;
-  void execute_locked(const Tensor& images, const std::vector<int64_t>& tokens);
+  void run_from(size_t first, const std::vector<int64_t>& tokens);
   void run_eltwise(const Op& op) const;
 
   std::vector<Op> ops_;
@@ -232,10 +247,11 @@ class Plan {
   int64_t batch_ = 0, img_h_ = 0, img_w_ = 0;
   int64_t mask_m_ = 0, mask_n_ = 0;  // pair-mask geometry
   int64_t tokens_count_ = 0;         // expected tokens.size() per execution
-  float* coords_ptr_ = nullptr;      // CoordConv input slot (may be null)
+  float* coords_ptr_ = nullptr;      // CoordConv input slot
   float* mask_ptr_ = nullptr;        // pair-mask input slot (may be null)
   int32_t scores_slot_ = -1, deltas_slot_ = -1;
   int32_t feat_slot_ = -1;  // optional third output (backbone features)
+  int32_t fusion_begin_ = -1;  // first fusion op; -1 = no feature entry
   Shape scores_shape_, deltas_shape_;  // output view shapes (post-reshape)
   Shape feat_shape_;
 };
@@ -259,10 +275,10 @@ class Recorder final : public ag::trace::Sink {
   // Compiles the recorded trace. `scores`/`deltas` are the forward's output
   // tensors (their storage must be recorded op results). `features`, when
   // non-null, pins a third output (the backbone feature map) so executions
-  // can serve the feature cache straight from the arena; it must also be a
-  // recorded op result. Returns nullptr with `*why` filled when the trace
-  // was unplannable; throws PoolBudgetExceeded when the arena charge is
-  // refused.
+  // can serve the feature cache straight from the arena, and marks the seam
+  // of the feature entry; it must also be a recorded op result. Returns
+  // nullptr with `*why` filled when the trace was unplannable; throws
+  // PoolBudgetExceeded when the arena charge is refused.
   std::shared_ptr<Plan> compile(const Tensor& scores, const Tensor& deltas,
                                 std::string* why,
                                 const Tensor* features = nullptr);

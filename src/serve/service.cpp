@@ -735,9 +735,10 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
       obs::ScopedTimer timer(h_model_ms_);
       OBS_SPAN("serve.model_forward");
       if (cached.defined()) {
-        // Hit: skip the backbone, run only the query-dependent half over
-        // the pinned [C, grid_h, grid_w] view (reshape aliases storage, so
-        // the entry stays pinned through the forward).
+        // Hit: skip the backbone, run only the query-dependent half (the
+        // plan's feature entry) over the pinned [C, grid_h, grid_w] view
+        // (reshape aliases storage, so the entry stays pinned through the
+        // forward).
         const Shape& s = cached.shape();
         return self.replica->infer_from_features(
             cached.reshape({1, s[0], s[1], s[2]}), job.tokens);

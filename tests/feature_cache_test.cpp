@@ -19,6 +19,7 @@
 
 #include "data/vocab.h"
 #include "obs/metrics.h"
+#include "plan/plan.h"
 #include "runtime/fault.h"
 #include "serve/feature_cache.h"
 #include "serve/service.h"
@@ -105,6 +106,30 @@ TEST(FeatureCacheTest, GenerationAndEpochChangeTheKey) {
 
 // --- model-level equivalence ------------------------------------------------
 
+// Restores the plan switch on scope exit (as in plan_test).
+struct PlanSwitch {
+  explicit PlanSwitch(bool on) : saved(plan::enabled()) {
+    plan::set_enabled(on);
+  }
+  ~PlanSwitch() { plan::set_enabled(saved); }
+  bool saved;
+};
+
+// Plan-cache hits so far (every planned forward, from either entry point,
+// takes exactly one).
+int64_t plan_cache_hits() {
+  return obs::MetricsRegistry::global().counter("plan.cache_hits").value();
+}
+
+void expect_same_boxes(const std::vector<vision::Box>& a,
+                       const std::vector<vision::Box>& b, const char* what,
+                       int64_t batch) {
+  ASSERT_EQ(a.size(), b.size()) << what << " at batch " << batch;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(vision::Box)),
+            0)
+      << what << " differs at batch " << batch;
+}
+
 TEST(FeatureCacheTest, CachedPathIsBitwiseIdenticalToFullForward) {
   FaultGuard guard;
   const core::YolloConfig cfg = tiny_config();
@@ -112,26 +137,52 @@ TEST(FeatureCacheTest, CachedPathIsBitwiseIdenticalToFullForward) {
   Rng rng(123);
   core::YolloModel model(cfg, vocab.size(), rng);
   model.set_training(false);
+  PlanSwitch on(true);
 
-  const Tensor batched =
-      image(cfg.img_h, cfg.img_w, 5).reshape({1, 3, cfg.img_h, cfg.img_w});
-  const std::vector<int64_t> tokens =
-      data::pad_to(vocab.encode("red circle"), cfg.max_query_len);
+  const char* queries[] = {"red circle", "blue square", "the green thing"};
+  for (int64_t batch : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{5},
+                        int64_t{8}}) {
+    Tensor batched({batch, 3, cfg.img_h, cfg.img_w});
+    std::vector<int64_t> tokens;
+    for (int64_t e = 0; e < batch; ++e) {
+      const Tensor one = image(cfg.img_h, cfg.img_w, 5 + 17 * batch + e);
+      std::memcpy(batched.data() + e * one.numel(), one.data(),
+                  static_cast<size_t>(one.numel()) * sizeof(float));
+      const std::vector<int64_t> q =
+          data::pad_to(vocab.encode(queries[e % 3]), cfg.max_query_len);
+      tokens.insert(tokens.end(), q.begin(), q.end());
+    }
 
-  const auto full = model.infer(batched, tokens, /*capture_features=*/true);
-  ASSERT_TRUE(full.ok()) << full.message;
-  ASSERT_TRUE(full.features.defined());
-  ASSERT_EQ(full.features.shape().size(), 4u);
-  EXPECT_EQ(full.features.shape()[0], 1);
+    const auto full = model.infer(batched, tokens, /*capture_features=*/true);
+    ASSERT_TRUE(full.ok()) << full.message;
+    ASSERT_TRUE(full.features.defined());
+    ASSERT_EQ(full.features.shape().size(), 4u);
+    EXPECT_EQ(full.features.shape()[0], batch);
 
-  const auto cached = model.infer_from_features(full.features, tokens);
-  ASSERT_TRUE(cached.ok()) << cached.message;
-  ASSERT_EQ(cached.boxes.size(), full.boxes.size());
-  for (size_t i = 0; i < full.boxes.size(); ++i) {
-    EXPECT_EQ(full.boxes[i].x, cached.boxes[i].x);
-    EXPECT_EQ(full.boxes[i].y, cached.boxes[i].y);
-    EXPECT_EQ(full.boxes[i].w, cached.boxes[i].w);
-    EXPECT_EQ(full.boxes[i].h, cached.boxes[i].h);
+    // Overwrite the plan's arena with another batch and query set, so the
+    // hit must compute from the features and tokens it is handed.
+    std::vector<int64_t> other_tokens(tokens.rbegin(), tokens.rend());
+    ASSERT_TRUE(model.infer(Tensor::ones(batched.shape()), other_tokens).ok());
+
+    // The hit runs the plan's feature entry: the plan is cached, has the
+    // entry, and the call took one plan-cache hit.
+    const int64_t hits_before = plan_cache_hits();
+    const auto cached = model.infer_from_features(full.features, tokens);
+    ASSERT_TRUE(cached.ok()) << cached.message;
+    EXPECT_EQ(plan_cache_hits() - hits_before, 1) << "batch " << batch;
+    EXPECT_TRUE(model.planned(batch));
+    ASSERT_NE(model.cached_plan(batch), nullptr);
+    EXPECT_TRUE(model.cached_plan(batch)->has_feature_entry());
+    expect_same_boxes(full.boxes, cached.boxes, "planned hit", batch);
+
+    // The eager reference (YOLLO_PLAN=0) gives the same answer.
+    core::YolloModel::InferOutcome eager;
+    {
+      PlanSwitch off(false);
+      eager = model.infer_from_features(full.features, tokens);
+    }
+    ASSERT_TRUE(eager.ok()) << eager.message;
+    expect_same_boxes(full.boxes, eager.boxes, "eager hit", batch);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/yollo.h"
+#include "obs/metrics.h"
 #include "plan/plan.h"
 #include "tensor/exec.h"
 #include "tensor/pool.h"
@@ -300,16 +301,26 @@ TEST(PlanTest, SteadyStatePlannedForwardAllocatesNothing) {
 
   // Warm up: compile the plan, spin up the thread pool, size the GEMM pack
   // scratch. Two runs so every lazily-grown buffer has reached steady state.
+  // The feature entry (a cache hit) is probed too, from the features the
+  // full forward captures.
   model.warm_plan(2);
-  ASSERT_TRUE(model.run_planned(images, tokens));
-  ASSERT_TRUE(model.run_planned(images, tokens));
+  const Tensor features =
+      model.infer(images, tokens, /*capture_features=*/true).features;
+  ASSERT_TRUE(features.defined());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(model.run_planned(images, tokens));
+    ASSERT_TRUE(model.run_planned(features, tokens, /*from_features=*/true));
+  }
 
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
   const bool ran = model.run_planned(images, tokens);
+  const bool ran_features =
+      model.run_planned(features, tokens, /*from_features=*/true);
   g_count_allocs.store(false, std::memory_order_relaxed);
 
   ASSERT_TRUE(ran);
+  ASSERT_TRUE(ran_features);
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
       << "steady-state planned forward must not touch the heap";
 #else
@@ -337,10 +348,13 @@ TEST(PlanTest, ConcurrentWorkersSharingOnePlanStayCorrect) {
   ASSERT_EQ(expect.size(), 1u);
 
   // Four workers hammer the same cached plan. The plan's execution lock
-  // admits one at a time; losers take the dynamic path — either way every
-  // result must be bitwise the single-threaded answer.
+  // admits one at a time and the others wait for it, so every call runs
+  // planned, and every result must be bitwise the single-threaded answer.
   constexpr int kWorkers = 4;
   constexpr int kIters = 8;
+  obs::Counter& hits =
+      obs::MetricsRegistry::global().counter("plan.cache_hits");
+  const int64_t hits_before = hits.value();
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
   workers.reserve(kWorkers);
@@ -358,6 +372,7 @@ TEST(PlanTest, ConcurrentWorkersSharingOnePlanStayCorrect) {
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(hits.value() - hits_before, kWorkers * kIters);
 }
 
 }  // namespace

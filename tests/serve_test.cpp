@@ -56,6 +56,32 @@ struct FaultGuard {
   ~FaultGuard() { runtime::FaultInjector::instance().reset(); }
 };
 
+// Waits for an observable service event instead of guessing how long it
+// takes: plan warm-up alone can outlast any fixed sleep in a sanitizer
+// build. The limit only turns a hang into a failure.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > limit) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Submits `request` to a one-worker service once the worker is past plan
+// warm-up, and returns once the worker has dequeued it (the queue is empty
+// again), so the worker is busy with it.
+std::future<GroundResponse> occupy_worker(InferenceService& service,
+                                          GroundRequest request) {
+  EXPECT_TRUE(
+      wait_until([&] { return service.counters().workers_warmed == 1; }));
+  auto future = service.submit(std::move(request));
+  EXPECT_TRUE(wait_until([&] { return service.health().queue_depth == 0; }));
+  return future;
+}
+
 core::YolloConfig tiny_config() {
   core::YolloConfig cfg;
   cfg.img_h = 32;
@@ -397,10 +423,9 @@ TEST(ServiceTest, BoundedQueueRejectsWithOverloaded) {
   sc.queue_capacity = 1;
   InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
 
-  // First request occupies the single worker (slow forward); give it time
-  // to be dequeued so the queue is empty again.
-  auto first = service.submit(h.request());
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // First request occupies the single worker (slow forward) and has been
+  // dequeued, so the queue is empty again.
+  auto first = occupy_worker(service, h.request());
   // Second request fills the queue's only slot.
   auto second = service.submit(h.request());
   // Admission is now saturated: typed rejection, immediately resolved.
@@ -666,8 +691,7 @@ TEST(ServiceBatchingTest, BacklogIsCoalescedAndEveryRequestAnswered) {
   sc.batch_max = 4;
   InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
 
-  auto blocker = service.submit(h.request("red circle", 1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto blocker = occupy_worker(service, h.request("red circle", 1));
   std::vector<std::future<GroundResponse>> queued;
   for (uint64_t i = 0; i < 3; ++i) {
     queued.push_back(service.submit(h.request("red circle", 10 + i)));
@@ -785,8 +809,7 @@ TEST(ServiceBatchingTest, PoisonedElementDegradesOnlyItsOwnRequest) {
   sc.breaker_threshold = 100;  // keep the breaker out of this test
   InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
 
-  auto blocker = service.submit(h.request("red circle", 1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto blocker = occupy_worker(service, h.request("red circle", 1));
   std::vector<std::future<GroundResponse>> queued;
   for (uint64_t i = 0; i < 3; ++i) {
     queued.push_back(service.submit(h.request("red circle", 30 + i)));

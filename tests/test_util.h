@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,6 +82,13 @@ struct ServeScenario {
   bool baseline_tier;   // every model forward faults: the two-stage tier
                         // (or typed errors, when no fallback) answers
 };
+
+// Prints the row by name. Without it gtest dumps the struct's bytes, which
+// include the name pointer, so the test names ctest discovers would change
+// with every build.
+inline void PrintTo(const ServeScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
 
 inline std::vector<ServeScenario> serve_scenario_table() {
   return {
